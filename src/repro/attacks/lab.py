@@ -132,12 +132,6 @@ class HijackLab:
     # -- internals -----------------------------------------------------------------
 
     def _legitimate_state(self, target_node: int) -> RouteState:
-        # A batched lab keys every baseline in the cache's *batched* key
-        # space (cache entries computed by converge_batch never alias the
-        # scalar ones — see docs/performance.md), so single lookups and
-        # batched prewarms stay coherent within one lab.
-        if self.batch_origins > 1:
-            return self.cache.baseline_batch(self.engine, (target_node,))[0]
         return self.cache.baseline(self.engine, target_node)
 
     def _executor(self, workers: int | None) -> SweepExecutor:

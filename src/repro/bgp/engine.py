@@ -65,7 +65,8 @@ class RouteState:
     any accidental in-place write raises immediately instead of silently
     contaminating every later attack computed on top of it. A hijack pass
     never needs to write into its baseline: :meth:`RoutingEngine.converge`
-    always works on a :meth:`copy_for` copy of ``base``.
+    works on a :meth:`copy_for` copy of ``base`` (reference backend) or
+    tiles it into the kernel's own scratch arrays (array backend).
     """
 
     origin: int
@@ -175,11 +176,16 @@ class RoutingEngine:
     ``NULL_METRICS`` sink reduces that to four no-op calls.
 
     ``backend`` selects the propagation kernel: ``"reference"`` (default)
-    is the pure-Python bucket queue below; ``"array"`` is the flat-array
-    kernel in :mod:`repro.bgp.kernel`, which produces bit-identical
-    :meth:`RouteState.checksum` outcomes at a fraction of the wall-clock
-    on large topologies (see ``docs/performance.md``). The contract is
-    enforced by ``tests/property/test_kernel_equivalence.py``.
+    is the pure-Python bucket queue below; ``"array"`` is the batched
+    flat-array kernel :func:`repro.bgp.kernel.propagate_array_batch`,
+    which produces bit-identical :meth:`RouteState.checksum` outcomes at
+    a fraction of the wall-clock on large topologies (see
+    ``docs/performance.md``). On the array backend every call — scalar
+    :meth:`converge`/:meth:`converge_delta` and both batch methods — runs
+    that one kernel, a single origin being a batch of one column; on the
+    reference backend the batch methods loop the scalar ones. The
+    contract is enforced by ``tests/property/test_kernel_equivalence.py``
+    and ``tests/property/test_batched_equivalence.py``.
     """
 
     def __init__(
@@ -200,19 +206,16 @@ class RoutingEngine:
             # import, and kernel.py type-checks against this module.
             from repro.bgp.kernel import (
                 compile_view,
-                propagate_array,
                 propagate_array_batch,
                 resolve_backend,
             )
 
             self.backend = resolve_backend(backend)
             self._compiled = compile_view(view)
-            self._propagate_array = propagate_array
             self._propagate_array_batch = propagate_array_batch
         else:
             self.backend = backend
             self._compiled = None
-            self._propagate_array = None
             self._propagate_array_batch = None
 
     # -- public API ------------------------------------------------------------
@@ -239,32 +242,47 @@ class RoutingEngine:
         hops behind the announcer, so its first receivers install at
         ``origin_length + 1`` and compete on that longer length — the
         honest default 0 is the plain one-hop origination.
+
+        On the array backend this is :meth:`converge_batch` with one
+        column.
         """
+        if self._propagate_array_batch is not None:
+            return self.converge_batch(
+                (origin,),
+                base=base,
+                blocked_sets=(blocked,),
+                first_hop_flags=(filter_first_hop_providers,),
+                origin_lengths=(origin_length,),
+            )[0]
         n = len(self.view)
         state = base.copy_for(origin) if base is not None else RouteState.empty(n, origin)
         blocked_set = frozenset(blocked)
-        self._propagate(
-            state,
-            origin,
-            blocked_set,
-            filter_first_hop_providers,
-            journal=None,
-            fresh=base is None,
-            origin_length=origin_length,
+        self._propagate_reference(
+            state, origin, blocked_set, filter_first_hop_providers, None, origin_length
         )
         if self.validate:
-            # Imported lazily: the oracle package imports this module.
-            from repro.oracle.invariants import check_route_state
-
-            check_route_state(
-                self.view,
-                state,
-                policy=self.policy,
-                blocked=blocked_set,
-                first_hop_filtered=filter_first_hop_providers,
-                origin_lengths={origin: origin_length} if origin_length else None,
-            )
+            self._check(state, blocked_set, filter_first_hop_providers, origin_length)
         return state
+
+    def _check(
+        self,
+        state: RouteState,
+        blocked_set: frozenset[int],
+        filter_first_hop_providers: bool,
+        origin_length: int,
+    ) -> None:
+        """Run the structural invariant suite on one converged state."""
+        # Imported lazily: the oracle package imports this module.
+        from repro.oracle.invariants import check_route_state
+
+        check_route_state(
+            self.view,
+            state,
+            policy=self.policy,
+            blocked=blocked_set,
+            first_hop_filtered=filter_first_hop_providers,
+            origin_lengths={state.origin: origin_length} if origin_length else None,
+        )
 
     def _batch_params(
         self,
@@ -309,15 +327,16 @@ class RoutingEngine:
 
         On the array backend all K origins share one kernel invocation
         over the memoized CSR, which is where the multi-origin speedup in
-        ``BENCH_scale.json`` comes from; the reference backend (and any
-        single-origin batch) falls back to a per-origin :meth:`converge`
-        loop — the fallback rule documented in ``docs/performance.md``.
+        ``BENCH_scale.json`` comes from — a single origin is the same
+        call with K=1. The reference backend falls back to a per-origin
+        :meth:`converge` loop — the fallback rule documented in
+        ``docs/performance.md``.
         """
         origins = list(origins)
         blocked, first_hop, lengths = self._batch_params(
             len(origins), blocked_sets, first_hop_flags, origin_lengths
         )
-        if self._propagate_array_batch is None or len(origins) <= 1:
+        if self._propagate_array_batch is None:
             return [
                 self.converge(
                     origin,
@@ -348,19 +367,8 @@ class RoutingEngine:
         )
         self._emit_convergence_metrics(messages, installs, replaced, rounds)
         if self.validate:
-            from repro.oracle.invariants import check_route_state
-
             for index, state in enumerate(states):
-                check_route_state(
-                    self.view,
-                    state,
-                    policy=self.policy,
-                    blocked=blocked[index],
-                    first_hop_filtered=first_hop[index],
-                    origin_lengths=(
-                        {origins[index]: lengths[index]} if lengths[index] else None
-                    ),
-                )
+                self._check(state, blocked[index], first_hop[index], lengths[index])
         return states
 
     def converge_delta_batch(
@@ -382,9 +390,10 @@ class RoutingEngine:
         apply a rung's blocked sets, read the outcome, revert, move to
         the adjacent rung — never paying a cold convergence per rung.
 
-        The reference backend (and any single-state batch) loops the
-        scalar :meth:`converge_delta`; like it, this path never runs the
-        invariant suite itself.
+        On the array backend the K passes are one kernel invocation (the
+        scalar :meth:`converge_delta` is the same call with K=1); the
+        reference backend loops the scalar :meth:`converge_delta`. Like
+        it, this path never runs the invariant suite itself.
         """
         states = list(states)
         origins = list(origins)
@@ -393,7 +402,7 @@ class RoutingEngine:
         blocked, first_hop, lengths = self._batch_params(
             len(origins), blocked_sets, first_hop_flags, origin_lengths
         )
-        if self._propagate_array_batch is None or len(origins) <= 1:
+        if self._propagate_array_batch is None:
             return [
                 self.converge_delta(
                     state,
@@ -471,13 +480,20 @@ class RoutingEngine:
         """
         if state.is_frozen:
             raise ValueError("converge_delta needs a mutable state; unfreeze or copy it")
+        if self._propagate_array_batch is not None:
+            return self.converge_delta_batch(
+                (state,),
+                (origin,),
+                blocked_sets=(blocked,),
+                first_hop_flags=(filter_first_hop_providers,),
+                origin_lengths=(origin_length,),
+            )[0]
         journal: list[tuple[int, int, int, int, int]] = []
         prev_origin = state.origin
         state.origin = origin
         blocked_set = frozenset(blocked)
-        self._propagate(
-            state, origin, blocked_set, filter_first_hop_providers, journal=journal,
-            origin_length=origin_length,
+        self._propagate_reference(
+            state, origin, blocked_set, filter_first_hop_providers, journal, origin_length
         )
         return ConvergenceDelta(
             origin=origin,
@@ -486,47 +502,6 @@ class RoutingEngine:
             first_hop_filtered=filter_first_hop_providers,
             journal=journal,
             origin_length=origin_length,
-        )
-
-    def _propagate(
-        self,
-        state: RouteState,
-        origin: int,
-        blocked_set: frozenset[int],
-        filter_first_hop_providers: bool,
-        journal: list[tuple[int, int, int, int, int]] | None,
-        fresh: bool = False,
-        origin_length: int = 0,
-    ) -> None:
-        """The propagation kernel dispatcher.
-
-        Mutates *state* in place. When *journal* is given, every install
-        appends the overwritten ``(node, cls, length, parent, origin_of)``
-        cells (pre-install values) so the pass can be reverted; the batch
-        path passes ``None`` and pays only one ``is not None`` test per
-        install. ``fresh=True`` asserts *state* is a pristine
-        :meth:`RouteState.empty` — a pure hint; the array kernel uses it
-        to fill its scratch arrays directly instead of converting the
-        state lists. Both backends produce identical state arrays,
-        journals and metrics counters.
-        """
-        if self._propagate_array is not None:
-            messages, installs, replaced, rounds = self._propagate_array(
-                self._compiled,
-                state,
-                origin,
-                blocked_set,
-                filter_first_hop_providers,
-                self.policy.tier1_shortest_path,
-                journal,
-                fresh,
-                origin_length,
-            )
-            self._emit_convergence_metrics(messages, installs, replaced, rounds)
-            return
-        self._propagate_reference(
-            state, origin, blocked_set, filter_first_hop_providers, journal,
-            origin_length,
         )
 
     def _propagate_reference(
@@ -538,7 +513,14 @@ class RoutingEngine:
         journal: list[tuple[int, int, int, int, int]] | None,
         origin_length: int = 0,
     ) -> None:
-        """The pure-Python bucket-queue propagation kernel."""
+        """The pure-Python bucket-queue propagation kernel.
+
+        Mutates *state* in place. When *journal* is given, every install
+        appends the overwritten ``(node, cls, length, parent, origin_of)``
+        cells (pre-install values) so the pass can be reverted; a plain
+        :meth:`converge` passes ``None`` and pays only one ``is not None``
+        test per install.
+        """
         view = self.view
         cls = state.cls
         length = state.length

@@ -1,14 +1,22 @@
 """The flat-array convergence backend (``backend="array"``).
 
-The reference kernel in :meth:`repro.bgp.engine.RoutingEngine._propagate`
-pays Python-interpreter cost *per message*: every announcement crossing
-every link is one tuple allocation, one ``prefers`` call and a handful of
-list indexings. At the 1/10-scale synthetic topology that is comfortable;
-at the paper's real CAIDA snapshot (42,697 ASes, 139,156 links) a single
-origin convergence pushes hundreds of thousands of messages and the
-interpreter dominates. This module re-states the identical algorithm in
-bulk array operations so the per-message cost drops to a few vectorized
-numpy instructions:
+The reference kernel in :meth:`repro.bgp.engine.RoutingEngine
+._propagate_reference` pays Python-interpreter cost *per message*: every
+announcement crossing every link is one tuple allocation, one ``prefers``
+call and a handful of list indexings. At the 1/10-scale synthetic
+topology that is comfortable; at the paper's real CAIDA snapshot (42,697
+ASes, 139,156 links) a single origin convergence pushes hundreds of
+thousands of messages and the interpreter dominates. This module
+re-states the identical algorithm in bulk array operations so the
+per-message cost drops to a few vectorized numpy instructions.
+
+There is one kernel, :func:`propagate_array_batch`, and it converges K
+independent announcements at once: each origin is one *column* of a flat
+``K*N`` scratch layout (cell ``col*N + node``). A single-origin pass —
+every :meth:`~repro.bgp.engine.RoutingEngine.converge` and
+:meth:`~repro.bgp.engine.RoutingEngine.converge_delta` on this backend —
+is the batch with K=1, where the only column is column 0 and cells are
+plain node ids. The pieces:
 
 * the compiled :class:`~repro.topology.view.RoutingView` adjacency is
   flattened once per view into CSR form (:class:`CompiledTopology` —
@@ -17,10 +25,11 @@ numpy instructions:
 * per-pass route state lives in preallocated int32/int64 scratch arrays,
   loaded from and written back to the :class:`~repro.bgp.engine
   .RouteState` lists around the hot loop;
-* the bucketed frontier queue holds *array chunks* of ``(node, sender)``
+* the bucketed frontier queue holds *array chunks* of ``(cell, sender)``
   candidates instead of per-candidate tuples, and each ``(length,
   class)`` bucket is resolved with one vectorized preference test plus a
-  CSR neighbor gather for the winners' exports.
+  CSR neighbor gather for the winners' exports, over every column's
+  candidates concatenated.
 
 Why it is bit-identical
 -----------------------
@@ -32,22 +41,24 @@ the same bucket carries the same ``(length, class)`` and can never beat
 an entry the first one just installed — ties keep the incumbent); winners
 export at ``length + 1``, never back into the current bucket. The array
 kernel reproduces exactly that: a reverse-order index scatter selects
-each node's first candidate in push order, the vectorized
-preference test mirrors :func:`repro.bgp.policy.prefers` (including the
-tier-1 shortest-path exception), and winner exports are gathered in
-install order with each winner's neighbors in adjacency order — the same
-concatenation the reference's per-winner ``push_exports`` produces. The
-undo journal is emitted in the same install order with the same
-pre-install cells, so :meth:`ConvergenceDelta.revert
+each cell's first candidate in push order, the vectorized preference
+test mirrors :func:`repro.bgp.policy.prefers` (including the tier-1
+shortest-path exception), and winner exports are gathered in install
+order with each winner's neighbors in adjacency order — the same
+concatenation the reference's per-winner ``push_exports`` produces.
+Columns never read or write each other's cells, and filtering preserves
+relative order, so restricted to one column every step is the
+single-origin algorithm. The undo journal is emitted in the same install
+order with the same pre-install cells, so :meth:`ConvergenceDelta.revert
 <repro.bgp.engine.ConvergenceDelta.revert>` parity holds too.
 
 The contract — identical :meth:`RouteState.checksum()
 <repro.bgp.engine.RouteState.checksum>` on every topology, origin,
-blocked set and policy variant — is enforced by
-``tests/property/test_kernel_equivalence.py`` and the golden-figure
+blocked set and policy variant, per column — is enforced by
+``tests/property/test_kernel_equivalence.py``,
+``tests/property/test_batched_equivalence.py`` and the golden-figure
 fixtures; see ``docs/model.md``.
 """
-
 from __future__ import annotations
 
 import weakref
@@ -64,7 +75,6 @@ __all__ = [
     "BACKENDS",
     "CompiledTopology",
     "compile_view",
-    "propagate_array",
     "propagate_array_batch",
     "resolve_backend",
 ]
@@ -127,13 +137,22 @@ class CompiledTopology:
     export_indices: np.ndarray
     export_kinds: np.ndarray
     is_tier1: np.ndarray
+    # Per CSR slot, the neighbor minus the slot's own node (int64). A
+    # gathered sender *cell* plus its slot's offset is the neighbor's
+    # cell in the sender's column — no column arithmetic in the hot loop.
+    customer_offsets: np.ndarray
+    peer_offsets: np.ndarray
+    export_offsets: np.ndarray
 
     def gather(
-        self, indptr: np.ndarray, nodes: np.ndarray
+        self, indptr: np.ndarray, cells: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The flat positions of the given nodes' CSR slices, concatenated
-        in node order — ``(positions, senders)`` where ``senders`` repeats
-        each node once per neighbor."""
+        """The flat positions of the given cells' CSR slices, concatenated
+        in cell order — ``(positions, senders)`` where ``senders`` repeats
+        each cell once per neighbor. A cell is ``column * size + node``
+        (see :func:`propagate_array_batch`); with one column it is the
+        node id itself."""
+        nodes = cells % self.size
         starts = indptr[nodes]
         counts = indptr[nodes + 1] - starts
         total = int(counts.sum())
@@ -145,18 +164,10 @@ class CompiledTopology:
         ends = np.cumsum(counts)
         shift = np.repeat(starts - (ends - counts), counts)
         positions = np.arange(total, dtype=np.int64) + shift
-        return positions, np.repeat(nodes, counts)
-
-    def neighbors(
-        self, indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gather the given nodes' neighbor slices, concatenated in node
-        order — ``(neighbors, senders)``."""
-        positions, senders = self.gather(indptr, nodes)
-        return indices[positions], senders
+        return positions, np.repeat(cells, counts)
 
 
-_EMPTY = np.empty(0, dtype=np.int32)
+_EMPTY = np.empty(0, dtype=np.int64)
 
 # Compiled-topology memo keyed by view object id, with a weakref callback
 # evicting entries when the view is collected (same idiom as the
@@ -174,6 +185,11 @@ def _csr(adjacency: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray
         count=int(indptr[-1]),
     )
     return indptr, indices
+
+
+def _offsets(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    owners = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+    return indices.astype(np.int64) - owners
 
 
 def compile_view(view: "RoutingView") -> CompiledTopology:
@@ -217,222 +233,15 @@ def compile_view(view: "RoutingView") -> CompiledTopology:
         export_indices=export_indices,
         export_kinds=export_kinds,
         is_tier1=np.asarray(view.is_tier1, dtype=bool),
+        customer_offsets=_offsets(customer_indptr, customer_indices),
+        peer_offsets=_offsets(peer_indptr, peer_indices),
+        export_offsets=_offsets(export_indptr, export_indices),
     )
     _COMPILED[key] = (
         weakref.ref(view, lambda _ref, key=key: _COMPILED.pop(key, None)),
         compiled,
     )
     return compiled
-
-
-def propagate_array(
-    topology: CompiledTopology,
-    state: "RouteState",
-    origin: int,
-    blocked_set: frozenset[int],
-    filter_first_hop_providers: bool,
-    tier1_shortest: bool,
-    journal: list[tuple[int, int, int, int, int]] | None,
-    fresh: bool = False,
-    origin_length: int = 0,
-) -> tuple[int, int, int, int]:
-    """Run one announcement pass over *state* with bulk array operations.
-
-    Mutates *state* in place (its arrays are replaced with fresh lists of
-    Python ints holding the identical final content the reference kernel
-    would produce) and appends the identical undo journal when *journal*
-    is given. Returns ``(messages, installs, replaced, rounds)`` for the
-    engine's metrics emission.
-
-    ``fresh=True`` promises *state* is a pristine :meth:`RouteState.empty
-    <repro.bgp.engine.RouteState.empty>` — the scratch arrays are then
-    filled directly instead of converted from the state's Python lists,
-    which saves a third of the single-origin wall-clock at CAIDA scale.
-    """
-    if fresh:
-        key = np.full(topology.size, _EMPTY_KEY, dtype=np.int64)
-        parent = np.full(topology.size, -1, dtype=np.int32)
-        origin_of = np.full(topology.size, -1, dtype=np.int32)
-    else:
-        key = (np.asarray(state.cls, dtype=np.int64) << _LEN_BITS) | np.asarray(
-            state.length, dtype=np.int64
-        )
-        parent = np.asarray(state.parent, dtype=np.int32)
-        origin_of = np.asarray(state.origin_of, dtype=np.int32)
-
-    # Scratch for the per-bucket first-occurrence scatter below; -1 means
-    # "node not in the current bucket's candidate list".
-    first_slot = np.full(topology.size, -1, dtype=np.int64)
-
-    # Candidates for the origin itself or a blocked node are dropped at
-    # consideration time, exactly as the reference kernel's per-candidate
-    # skip — one mask lookup replaces both tests.
-    dropped = np.zeros(topology.size, dtype=bool)
-    if blocked_set:
-        dropped[list(blocked_set)] = True
-    dropped[origin] = True
-
-    if journal is not None:
-        origin_key = int(key[origin])
-        journal.append(
-            (
-                origin,
-                origin_key >> _LEN_BITS,
-                origin_key & _LEN_MASK,
-                int(parent[origin]),
-                int(origin_of[origin]),
-            )
-        )
-    key[origin] = (_CLASS_ORIGIN << _LEN_BITS) | origin_length
-    parent[origin] = -1
-    origin_of[origin] = origin
-
-    # buckets[length] = None or three per-class chunk lists (customer,
-    # peer, provider); each chunk is a (nodes, senders) array pair kept
-    # in push order — the array analogue of the reference bucket queue.
-    buckets: list[list[list[tuple[np.ndarray, np.ndarray]]] | None] = []
-
-    def push(route_length: int, class_offset: int, nodes: np.ndarray, senders: np.ndarray) -> None:
-        if nodes.size == 0:
-            return
-        while len(buckets) <= route_length:
-            buckets.append(None)
-        bucket = buckets[route_length]
-        if bucket is None:
-            bucket = [[], [], []]
-            buckets[route_length] = bucket
-        bucket[class_offset].append((nodes, senders))
-
-    def push_exports(nodes: np.ndarray, route_class: int, next_length: int) -> None:
-        if route_class in (_CLASS_ORIGIN, _CLASS_CUSTOMER):
-            # Full valley-free export: one fused gather, split by target
-            # kind. Compress preserves order, and per node the fused
-            # adjacency is providers|peers|customers, so each per-class
-            # subsequence matches the reference's per-winner push order.
-            positions, senders = topology.gather(topology.export_indptr, nodes)
-            if positions.size == 0:
-                return
-            targets = topology.export_indices[positions]
-            kinds = topology.export_kinds[positions]
-            for class_offset in (0, 1, 2):
-                mask = kinds == class_offset
-                push(next_length, class_offset, targets[mask], senders[mask])
-        else:
-            push(
-                next_length,
-                2,
-                *topology.neighbors(
-                    topology.customer_indptr, topology.customer_indices, nodes
-                ),
-            )
-
-    origin_arr = np.array([origin], dtype=np.int32)
-    origin_is_stub = (
-        topology.customer_indptr[origin + 1] == topology.customer_indptr[origin]
-    )
-    # Claimed-path padding: first receivers install one hop past the
-    # announced path length, exactly as in the reference kernel.
-    first_hop_length = origin_length + 1
-    if filter_first_hop_providers and origin_is_stub:
-        push(
-            first_hop_length,
-            1,
-            *topology.neighbors(
-                topology.peer_indptr, topology.peer_indices, origin_arr
-            ),
-        )
-        push(
-            first_hop_length,
-            2,
-            *topology.neighbors(
-                topology.customer_indptr, topology.customer_indices, origin_arr
-            ),
-        )
-    else:
-        push_exports(origin_arr, _CLASS_ORIGIN, first_hop_length)
-
-    messages = 0
-    installs = 0
-    replaced = 0
-    route_length = 0
-    while route_length < len(buckets):
-        bucket = buckets[route_length]
-        if bucket is not None:
-            for class_offset, route_class in enumerate(
-                (_CLASS_CUSTOMER, _CLASS_PEER, _CLASS_PROVIDER)
-            ):
-                chunks = bucket[class_offset]
-                if not chunks:
-                    continue
-                if len(chunks) == 1:
-                    nodes, senders = chunks[0]
-                else:
-                    nodes = np.concatenate([chunk[0] for chunk in chunks])
-                    senders = np.concatenate([chunk[1] for chunk in chunks])
-                messages += int(nodes.size)
-                keep = ~dropped[nodes]
-                if not keep.all():
-                    nodes = nodes[keep]
-                    senders = senders[keep]
-                if nodes.size == 0:
-                    continue
-                # First candidate per node in push order: any later one in
-                # this bucket carries the same (length, class) and ties
-                # keep the incumbent. Scatter-assigning the candidate
-                # indices in *reverse* leaves each node's earliest index
-                # in first_slot (fancy-index assignment is last-wins), so
-                # comparing back picks exactly the first occurrences —
-                # already in push order, no sort needed.
-                slots = np.arange(nodes.size, dtype=np.int64)
-                first_slot[nodes[::-1]] = slots[::-1]
-                sel = first_slot[nodes] == slots
-                first_slot[nodes] = -1  # reset only the touched cells
-                cand_nodes = nodes[sel]
-                cand_senders = senders[sel]
-                incumbent_key = key[cand_nodes]
-                cand_key = (route_class << _LEN_BITS) | route_length
-                # One packed comparison = better class, or same class and
-                # strictly shorter path.
-                beats = cand_key < incumbent_key
-                if tier1_shortest:
-                    beats = np.where(
-                        topology.is_tier1[cand_nodes],
-                        route_length < (incumbent_key & _LEN_MASK),
-                        beats,
-                    )
-                if not beats.any():
-                    continue
-                # Install order is push order of each winner's first
-                # candidate — what the journal and export order encode.
-                winners = cand_nodes[beats]
-                winner_senders = cand_senders[beats]
-                displaced_key = incumbent_key[beats]
-                installs += int(winners.size)
-                replaced += int(((displaced_key >> _LEN_BITS) != _NO_CLASS).sum())
-                if journal is not None:
-                    journal.extend(
-                        zip(
-                            winners.tolist(),
-                            (displaced_key >> _LEN_BITS).tolist(),
-                            (displaced_key & _LEN_MASK).tolist(),
-                            parent[winners].tolist(),
-                            origin_of[winners].tolist(),
-                        )
-                    )
-                key[winners] = cand_key
-                parent[winners] = winner_senders
-                origin_of[winners] = origin
-                push_exports(winners, route_class, route_length + 1)
-        route_length += 1
-
-    state.cls = (key >> _LEN_BITS).tolist()
-    state.length = (key & _LEN_MASK).tolist()
-    state.parent = parent.tolist()
-    state.origin_of = origin_of.tolist()
-    return messages, installs, replaced, len(buckets)
-
-
-_EMPTY64 = np.empty(0, dtype=np.int64)
 
 
 def propagate_array_batch(
@@ -449,25 +258,24 @@ def propagate_array_batch(
 ) -> tuple[int, int, int, int]:
     """Converge K independent announcement passes in one fused sweep.
 
-    The single-origin kernel above amortizes the interpreter over one
-    origin's frontier; this variant amortizes numpy's per-call overhead
-    over a whole sweep's origins too. Each origin is one *column* of a
-    flat ``K*N`` scratch layout (cell ``col*N + node``): columns never
-    read or write each other's cells, so the reverse-scatter tie-break,
-    the packed-key preference test and the CSR export gathers all run
-    once per ``(length, class)`` bucket over every column's candidates
-    concatenated.
+    The only array kernel: a single-origin pass is the K=1 batch. Each
+    origin is one *column* of a flat ``K*N`` scratch layout (cell
+    ``col*N + node``): columns never read or write each other's cells, so
+    the reverse-scatter tie-break, the packed-key preference test and the
+    CSR export gathers all run once per ``(length, class)`` bucket over
+    every column's candidates concatenated — numpy's per-call overhead is
+    amortized over a whole sweep's origins, not just one frontier.
 
-    Why each column is bit-identical to its single-origin pass: within a
+    Why each column is bit-identical to its independent pass: within a
     bucket the flat candidate array keeps per-column push order (chunks
     are appended in the same step order, and boolean filtering preserves
     relative order), the first-occurrence scatter operates on flat cells
     so selection restricted to one column picks exactly that column's
     first candidates, and the preference test is per-cell. By induction
     over bucket steps every column installs the same winners in the same
-    order as :func:`propagate_array` would — which is also why the
-    per-column undo journals (distributed from the global install stream
-    by a stable sort on the column index) match entry for entry.
+    order as the reference kernel — which is also why the per-column
+    undo journals (distributed from the global install stream by a
+    stable sort on the column index) match entry for entry.
 
     Loading modes: ``fresh=True`` fills pristine scratch directly
     (*states* may hold placeholder empty lists); ``base`` loads one
@@ -515,6 +323,9 @@ def propagate_array_batch(
     is_tier1_flat = np.tile(topology.is_tier1, k)
     first_slot = np.full(total, -1, dtype=np.int64)
 
+    # Candidates for a column's origin or one of its blocked nodes are
+    # dropped at consideration time, exactly as the reference kernel's
+    # per-candidate skip — one mask lookup replaces both tests.
     dropped = np.zeros(total, dtype=bool)
     for col, (origin, blocked_set) in enumerate(zip(origins, blocked_sets)):
         colbase = col * n
@@ -539,6 +350,10 @@ def propagate_array_batch(
         parent[cell] = -1
         origin_of[cell] = origin
 
+    # buckets[length] = None or three per-class chunk lists (customer,
+    # peer, provider); each chunk is a (cells, sender cells) array pair
+    # kept in push order — the array analogue of the reference bucket
+    # queue.
     buckets: list[list[list[tuple[np.ndarray, np.ndarray]]] | None] = []
 
     def push(route_length: int, class_offset: int, cells: np.ndarray, senders: np.ndarray) -> None:
@@ -552,59 +367,51 @@ def propagate_array_batch(
             buckets[route_length] = bucket
         bucket[class_offset].append((cells, senders))
 
-    def gather_flat(indptr: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # The multi-range CSR gather of CompiledTopology.gather, lifted to
-        # flat cells: returns (positions, sender node ids, column bases)
-        # so the caller can rebase gathered targets into their columns.
-        cols, nodes = np.divmod(cells, n)
-        starts = indptr[nodes]
-        counts = indptr[nodes + 1] - starts
-        out = int(counts.sum())
-        if out == 0:
-            return _EMPTY64, _EMPTY64, _EMPTY64
-        ends = np.cumsum(counts)
-        shift = np.repeat(starts - (ends - counts), counts)
-        positions = np.arange(out, dtype=np.int64) + shift
-        return positions, np.repeat(nodes, counts), np.repeat(cols * n, counts)
+    def push_neighbors(
+        class_offset: int, indptr: np.ndarray, offsets: np.ndarray,
+        cells: np.ndarray, next_length: int,
+    ) -> None:
+        positions, senders = topology.gather(indptr, cells)
+        if positions.size:
+            push(next_length, class_offset, senders + offsets[positions], senders)
 
     def push_exports(cells: np.ndarray, route_class: int, next_length: int) -> None:
         if route_class in (_CLASS_ORIGIN, _CLASS_CUSTOMER):
-            positions, senders, colbase = gather_flat(topology.export_indptr, cells)
+            # Full valley-free export: one fused gather, split by target
+            # kind. Compress preserves order, and per node the fused
+            # adjacency is providers|peers|customers, so each per-class
+            # subsequence matches the reference's per-winner push order.
+            positions, senders = topology.gather(topology.export_indptr, cells)
             if positions.size == 0:
                 return
-            targets = colbase + topology.export_indices[positions]
+            targets = senders + topology.export_offsets[positions]
             kinds = topology.export_kinds[positions]
             for class_offset in (0, 1, 2):
                 mask = kinds == class_offset
                 push(next_length, class_offset, targets[mask], senders[mask])
         else:
-            positions, senders, colbase = gather_flat(topology.customer_indptr, cells)
-            if positions.size == 0:
-                return
-            push(next_length, 2, colbase + topology.customer_indices[positions], senders)
+            push_neighbors(
+                2, topology.customer_indptr, topology.customer_offsets, cells, next_length
+            )
 
     for col, origin in enumerate(origins):
-        colbase = col * n
+        origin_cell = np.array([col * n + origin], dtype=np.int64)
+        # Claimed-path padding: first receivers install one hop past the
+        # announced path length, exactly as in the reference kernel.
         first_hop_length = origin_lengths[col] + 1
         origin_is_stub = (
             topology.customer_indptr[origin + 1] == topology.customer_indptr[origin]
         )
         if first_hop_flags[col] and origin_is_stub:
-            origin_arr = np.array([origin], dtype=np.int32)
-            peers, senders = topology.neighbors(
-                topology.peer_indptr, topology.peer_indices, origin_arr
+            push_neighbors(
+                1, topology.peer_indptr, topology.peer_offsets, origin_cell, first_hop_length
             )
-            push(first_hop_length, 1, colbase + peers.astype(np.int64), senders)
-            customers, senders = topology.neighbors(
-                topology.customer_indptr, topology.customer_indices, origin_arr
-            )
-            push(first_hop_length, 2, colbase + customers.astype(np.int64), senders)
-        else:
-            push_exports(
-                np.array([colbase + origin], dtype=np.int64),
-                _CLASS_ORIGIN,
+            push_neighbors(
+                2, topology.customer_indptr, topology.customer_offsets, origin_cell,
                 first_hop_length,
             )
+        else:
+            push_exports(origin_cell, _CLASS_ORIGIN, first_hop_length)
 
     # Journal records accumulate as column-tagged arrays during the loop
     # and are distributed per column afterwards: a stable sort on the
@@ -641,14 +448,23 @@ def propagate_array_batch(
                     senders = senders[keep]
                 if cells.size == 0:
                     continue
+                # First candidate per cell in push order: any later one in
+                # this bucket carries the same (length, class) and ties
+                # keep the incumbent. Scatter-assigning the candidate
+                # indices in *reverse* leaves each cell's earliest index
+                # in first_slot (fancy-index assignment is last-wins), so
+                # comparing back picks exactly the first occurrences —
+                # already in push order, no sort needed.
                 slots = np.arange(cells.size, dtype=np.int64)
                 first_slot[cells[::-1]] = slots[::-1]
                 sel = first_slot[cells] == slots
-                first_slot[cells] = -1
+                first_slot[cells] = -1  # reset only the touched cells
                 cand_cells = cells[sel]
                 cand_senders = senders[sel]
                 incumbent_key = key[cand_cells]
                 cand_key = (route_class << _LEN_BITS) | route_length
+                # One packed comparison = better class, or same class and
+                # strictly shorter path.
                 beats = cand_key < incumbent_key
                 if tier1_shortest:
                     beats = np.where(
@@ -658,21 +474,24 @@ def propagate_array_batch(
                     )
                 if not beats.any():
                     continue
+                # Install order is push order of each winner's first
+                # candidate — what the journal and export order encode.
                 winners = cand_cells[beats]
                 winner_senders = cand_senders[beats]
                 displaced_key = incumbent_key[beats]
                 installs += int(winners.size)
                 replaced += int(((displaced_key >> _LEN_BITS) != _NO_CLASS).sum())
                 cols = winners // n
+                colbase = cols * n
                 if journals is not None:
                     j_cols.append(cols)
-                    j_nodes.append(winners - cols * n)
+                    j_nodes.append(winners - colbase)
                     j_cls.append(displaced_key >> _LEN_BITS)
                     j_len.append(displaced_key & _LEN_MASK)
                     j_parent.append(parent[winners].astype(np.int64))
                     j_origin.append(origin_of[winners].astype(np.int64))
                 key[winners] = cand_key
-                parent[winners] = winner_senders
+                parent[winners] = winner_senders - colbase
                 origin_of[winners] = origins_np[cols]
                 push_exports(winners, route_class, route_length + 1)
         route_length += 1

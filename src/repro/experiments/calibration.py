@@ -27,6 +27,7 @@ from typing import Mapping
 
 from repro.attacks.lab import HijackLab
 from repro.bgp.simulator import BGPSimulator
+from repro.topology.asgraph import ASGraph
 from repro.topology.classify import summarize
 from repro.util.rng import make_rng
 from repro.util.tables import render_table
@@ -94,6 +95,28 @@ class CalibrationReport:
         )
 
 
+def _hop_distance(graph: ASGraph, source: int, target: int) -> int | None:
+    """Undirected hop count from *source* to *target* by BFS, ignoring
+    relationships; ``None`` when they are disconnected."""
+    if source == target:
+        return 0
+    seen = {source}
+    frontier = [source]
+    hops = 0
+    while frontier:
+        hops += 1
+        next_frontier = []
+        for asn in frontier:
+            for neighbor in graph.neighbors(asn):
+                if neighbor == target:
+                    return hops
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+    return None
+
+
 def calibrate(
     lab: HijackLab,
     *,
@@ -121,9 +144,6 @@ def calibrate(
         pairs += 1
 
     # Path inflation vs undirected shortest paths.
-    import networkx as nx
-
-    graph_nx = lab.graph.to_networkx()
     inflation_total = 0.0
     measured = 0
     attempts = 0
@@ -136,13 +156,8 @@ def calibrate(
         state = lab._legitimate_state(origin)
         if not state.has_route(node) or state.length[node] == 0:
             continue
-        source_asn = view.asn_of(node)
-        target_asn = view.asn_of(origin)
-        try:
-            shortest = nx.shortest_path_length(graph_nx, source_asn, target_asn)
-        except nx.NetworkXNoPath:
-            continue
-        if shortest == 0:
+        shortest = _hop_distance(lab.graph, view.asn_of(node), view.asn_of(origin))
+        if not shortest:
             continue
         inflation_total += state.length[node] / shortest
         measured += 1

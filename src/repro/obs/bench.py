@@ -136,7 +136,7 @@ def run_bench(
     profile's pool size. Returns ``(payload, path)``.
     """
     # Imported here so ``repro.obs`` stays importable on its own (the
-    # heavy simulation stack pulls in numpy/networkx).
+    # heavy simulation stack pulls in numpy).
     from repro.attacks.lab import HijackLab
     from repro.parallel.cache import ConvergenceCache
     from repro.parallel.executor import resolve_workers

@@ -77,28 +77,21 @@ def context_digest(
     view: RoutingView,
     policy: PolicyConfig,
     backend: str = "reference",
-    batched: bool = False,
 ) -> str:
-    """The cache-key prefix identifying one (topology, policy, backend,
-    batch-shape) context.
+    """The cache-key prefix identifying one (topology, policy, backend)
+    context.
 
     The backend is part of the key even though both kernels are
     checksum-identical by contract: a cached state must always be
     attributable to the engine configuration that produced it, so a
     backend regression can never hide behind a warm cache (a backend
     switch is a cold start, by design — see the regression test in
-    ``tests/test_parallel_cache.py``). ``batched`` extends the same rule
-    to the convergence *shape*: states computed through
-    :meth:`RoutingEngine.converge_batch
-    <repro.bgp.engine.RoutingEngine.converge_batch>` live in their own
-    key space and can never alias scalar single-origin entries (nor vice
-    versa), so a batched-kernel regression is equally unable to hide.
-    The key records the shape *class*, not the batch width — the set of
-    origins a batched miss converges together depends on transient cache
-    state, so an exact-K key could never be reproduced at lookup time.
+    ``tests/test_parallel_cache.py``). Within one backend a baseline is
+    the same computation however it was requested: on the array backend
+    :meth:`baseline` and :meth:`ConvergenceCache.baseline_batch` both run
+    the one batched kernel, so their entries share one key space.
     """
-    shape = ":batched" if batched else ""
-    return f"{_view_digest(view)}:{_policy_digest(policy)}:{backend}{shape}"
+    return f"{_view_digest(view)}:{_policy_digest(policy)}:{backend}"
 
 
 @dataclass
@@ -184,11 +177,9 @@ class ConvergenceCache:
 
         check_cache_coherence(self)
 
-    def contains(
-        self, engine: RoutingEngine, origin: int, *, batched: bool = False
-    ) -> bool:
+    def contains(self, engine: RoutingEngine, origin: int) -> bool:
         return (
-            context_digest(engine.view, engine.policy, engine.backend, batched),
+            context_digest(engine.view, engine.policy, engine.backend),
             origin,
         ) in self._entries
 
@@ -230,16 +221,15 @@ class ConvergenceCache:
     ) -> list[RouteState]:
         """Clean converged states for several origins, one fused miss pass.
 
-        The batched analogue of :meth:`baseline`: hits are served from
-        the cache's *batched* key space
-        (``context_digest(..., batched=True)`` — scalar entries never
-        alias, see :func:`context_digest`), and every miss in the request
-        is converged in a single :meth:`RoutingEngine.converge_batch
+        The batched analogue of :meth:`baseline` and the prewarm API:
+        hits are served from the same entries :meth:`baseline` uses, and
+        every miss in the request is converged in a single
+        :meth:`RoutingEngine.converge_batch
         <repro.bgp.engine.RoutingEngine.converge_batch>` call before
         being frozen and inserted. Returns the states in request order;
         duplicate origins share one entry.
         """
-        context = context_digest(engine.view, engine.policy, engine.backend, True)
+        context = context_digest(engine.view, engine.policy, engine.backend)
         found: dict[int, RouteState] = {}
         missing: list[int] = []
         for origin in origins:

@@ -22,8 +22,9 @@ Operational semantics, chosen to be boring and explicit:
   is anchored at *arrival*, so time spent queued is charged to
   detection latency.
 * **coalescing** — an announce and a later withdraw of the same
-  (prefix, origin) *within one batch* cancel: the route never existed
-  for any observer. A withdraw whose announcement predates the batch is
+  (prefix, origin) *within one batch* cancel, together with any
+  duplicate announces between them: the route never existed for any
+  observer. A withdraw whose announcement predates the batch is
   never cancelled against a batch announce — that would resurrect the
   pre-existing route. Cancellation is outcome-preserving (the surviving
   ledger chain is identical), so batched and unbatched replays of the
@@ -300,11 +301,15 @@ class StreamReplayer:
 
         Tracked per (prefix, origin) against the pre-batch active state:
         only a withdraw that closes an announcement opened earlier in the
-        same batch cancels with it. Removing such a pair leaves the
-        surviving ledger chain — and hence the flushed state — identical.
+        same batch cancels with it, together with every duplicate
+        announce that fell inside the pair (each would be a no-op under
+        per-event replay; kept alone, it would resurrect the route).
+        Removing such a group leaves the surviving ledger chain — and
+        hence the flushed state — identical.
         """
         removed: set[int] = set()
-        openers: dict[tuple[Prefix, int], list[int]] = {}
+        # Per key, the in-batch opening announce and its duplicates.
+        open_groups: dict[tuple[Prefix, int], list[int]] = {}
         active: dict[tuple[Prefix, int], bool] = {}
         for index, event in enumerate(pending):
             if not isinstance(event, (Announce, Withdraw)):
@@ -321,14 +326,15 @@ class StreamReplayer:
             if isinstance(event, Announce):
                 if not active[key]:
                     active[key] = True
-                    openers.setdefault(key, []).append(index)
-            else:
-                if active[key]:
-                    active[key] = False
-                    stack = openers.get(key)
-                    if stack:
-                        removed.add(stack.pop())
-                        removed.add(index)
+                    open_groups[key] = [index]
+                elif key in open_groups:
+                    open_groups[key].append(index)
+            elif active[key]:
+                active[key] = False
+                group = open_groups.pop(key, None)
+                if group:
+                    removed.update(group)
+                    removed.add(index)
         kept = [event for index, event in enumerate(pending) if index not in removed]
         return kept, len(removed)
 

@@ -147,8 +147,3 @@ class TestMutation:
     def test_validate_passes_on_consistent_graph(self, mini_graph):
         mini_graph.validate()
 
-    def test_to_networkx(self, mini_graph):
-        nx_graph = mini_graph.to_networkx()
-        assert nx_graph.number_of_nodes() == len(mini_graph)
-        assert nx_graph.number_of_edges() == mini_graph.edge_count()
-        assert nx_graph.edges[1, 10]["relationship"] == "customer"

@@ -1,5 +1,7 @@
 """Unit tests for the calibration report and its suite-extension driver."""
 
+import sys
+
 import pytest
 
 from repro.attacks.lab import HijackLab
@@ -72,3 +74,14 @@ class TestSubprefixExtensionDriver:
             summary["subprefix_with_core299_rov"]["mean"]
             < summary["subprefix_hijack"]["mean"]
         )
+
+
+class TestNoNetworkx:
+    def test_calibration_runs_without_networkx(self, medium_lab, monkeypatch):
+        """Calibration needs no networkx: with the module unimportable it
+        still measures path inflation, and the BFS hop distances give the
+        exact mean the networkx shortest paths gave on this seed."""
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        report = calibrate(medium_lab, agreement_samples=0, path_samples=40, seed=3)
+        assert report.path_samples == 40
+        assert report.path_inflation_mean == 1.0716666666666668

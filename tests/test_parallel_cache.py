@@ -96,33 +96,33 @@ class TestKeying:
             mini_view, PolicyConfig(), "array"
         )
 
-    def test_batched_key_space_is_a_cold_miss(self, mini_view):
-        """Regression: the cache key must include the batch shape class.
-        A ``baseline_batch`` entry and a scalar ``baseline`` entry for the
-        same origin are independent computations through different kernel
-        paths — aliasing them would let a batched-kernel bug hide behind a
-        scalar-converged entry (and vice versa), exactly the masking the
-        backend-switch test above guards against."""
+    def test_batch_prewarm_serves_scalar_lookups(self, mini_view):
+        """A ``baseline_batch`` prewarm and a scalar ``baseline`` lookup
+        are one computation — on the array backend both run the single
+        batched kernel — so they share one key per (view, policy,
+        backend): the prewarmed entry is served to the scalar lookup as a
+        hit. Backends still never alias: the reference engine converges
+        its own baseline."""
         cache = ConvergenceCache()
-        engine = RoutingEngine(mini_view, backend="array")
-        scalar_state = cache.baseline(engine, 0)
-        assert cache.contains(engine, 0, batched=True) is False
-        (batched_state,) = cache.baseline_batch(engine, (0,))
-        assert batched_state is not scalar_state
+        array = RoutingEngine(mini_view, backend="array")
+        reference = RoutingEngine(mini_view)
+        prewarmed = cache.baseline_batch(array, (0, 1))
         assert cache.stats.misses == 2 and cache.stats.hits == 0
-        assert len(cache) == 2
-        # Same content regardless — the batched contract — but through
-        # two distinct entries.
-        assert scalar_state.checksum() == batched_state.checksum()
-        assert context_digest(mini_view, PolicyConfig(), "array") != context_digest(
-            mini_view, PolicyConfig(), "array", batched=True
-        )
-        # Within the batched key space the entry is warm, whatever the
-        # batch width at lookup time (the key records the shape class,
-        # not the batch size).
-        again = cache.baseline_batch(engine, (0, 1))
-        assert again[0] is batched_state
-        assert cache.stats.hits == 1
+        assert cache.contains(array, 0) and cache.contains(array, 1)
+        assert cache.baseline(array, 0) is prewarmed[0]
+        assert cache.baseline(array, 1) is prewarmed[1]
+        assert cache.stats.hits == 2 and len(cache) == 2
+        # And the other way round: a scalar entry serves a batch request.
+        scalar = cache.baseline(array, 2)
+        again = cache.baseline_batch(array, (2, 0))
+        assert again[0] is scalar and again[1] is prewarmed[0]
+        assert cache.stats.hits == 4 and cache.stats.misses == 3
+        # The backend stays part of the key.
+        assert cache.contains(reference, 0) is False
+        ref_state = cache.baseline(reference, 0)
+        assert ref_state is not prewarmed[0]
+        assert ref_state.checksum() == prewarmed[0].checksum()
+        assert cache.stats.misses == 4 and len(cache) == 4
 
     def test_equal_views_share_entries_across_engines(self, mini_view):
         """Two separately compiled views of the same graph hit one entry."""

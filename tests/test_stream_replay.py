@@ -70,6 +70,24 @@ class TestBatching:
         assert report.events_noop == 1  # the duplicate announce
         assert report.prefixes[str(prefix)]["active_origins"] == []
 
+    def test_duplicate_inside_a_cancelled_pair_is_cancelled_too(self, lab):
+        """Regression: announce A, duplicate announce A, withdraw A in one
+        batch. Per-event replay ends with A withdrawn; coalescing used to
+        cancel only the outer pair and leave the duplicate to resurrect A."""
+        prefix = lab.target_prefix(50)
+        events = [
+            Announce(at=0.0, prefix=prefix, origin_asn=60),
+            Announce(at=1.0, prefix=prefix, origin_asn=60),
+            Withdraw(at=2.0, prefix=prefix, origin_asn=60),
+        ]
+        per_event = StreamReplayer(lab).run(events)
+        batched = StreamReplayer(lab, batch_window=5.0).run(events)
+        assert per_event.prefixes[str(prefix)]["active_origins"] == []
+        assert batched.prefixes.get(str(prefix), {}).get("active_origins", []) == []
+        assert batched.events_coalesced == 3
+        assert (batched.events_applied + batched.events_coalesced
+                + len(batched.errors)) == batched.events_submitted
+
     def test_backpressure_flush_at_queue_limit(self, lab):
         prefix = lab.target_prefix(50)
         replayer = StreamReplayer(lab, batch_window=100.0, queue_limit=2)
