@@ -12,13 +12,16 @@ In the message simulator every announcement expands one hop per
 generation, so a candidate route of length *L* always arrives in
 generation *L*. Each node therefore sees its candidates in increasing
 length order (best class first within a generation) and installs a
-candidate exactly when it strictly beats the node's current entry. That is
-precisely a generalized Dijkstra ordered by ``(length, class)``: this
-engine pushes candidate routes through a bucket queue in that order and
-applies the same strict-preference install rule (:func:`repro.bgp.policy
-.prefers`), so per node the install sequence — and hence the final RIB —
-matches the simulator's. The equivalence is enforced by randomized
-property tests in ``tests/integration/test_engine_equivalence.py``.
+candidate exactly when it strictly beats the node's current entry
+(the rule of :func:`repro.bgp.policy.prefers`). This engine sweeps the
+same levels directly: every candidate of length *L + 1* is an export of
+a node that installed at length *L*, so the nodes installed at one level
+— customer-route holders exporting up and sideways, every holder
+exporting down — generate the next level's candidates, customer class
+first, in the simulator's arrival order. Per node the install sequence —
+and hence the final RIB — matches the simulator's. The equivalence is
+enforced by randomized property tests in
+``tests/integration/test_engine_equivalence.py``.
 
 Hijacks reuse the same procedure: converge the legitimate origin from a
 clean state, then run the attacker's announcement *on top of* that state —
@@ -32,7 +35,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, MutableSequence, Sequence
 
-from repro.bgp.policy import PolicyConfig, prefers
+from repro.bgp.policy import PolicyConfig
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.topology.relationships import RouteClass
 from repro.topology.view import RoutingView
@@ -176,7 +179,7 @@ class RoutingEngine:
     ``NULL_METRICS`` sink reduces that to four no-op calls.
 
     ``backend`` selects the propagation kernel: ``"reference"`` (default)
-    is the pure-Python bucket queue below; ``"array"`` is the batched
+    is the pure-Python level sweep below; ``"array"`` is the batched
     flat-array kernel :func:`repro.bgp.kernel.propagate_array_batch`,
     which produces bit-identical :meth:`RouteState.checksum` outcomes at
     a fraction of the wall-clock on large topologies (see
@@ -217,6 +220,9 @@ class RoutingEngine:
             self.backend = backend
             self._compiled = None
             self._propagate_array_batch = None
+        # Nodes that rank routes by length only (the tier-1 exception).
+        tier1 = self.policy.tier1_shortest_path
+        self._length_only = view.is_tier1 if tier1 else (False,) * len(view)
 
     # -- public API ------------------------------------------------------------
 
@@ -513,23 +519,30 @@ class RoutingEngine:
         journal: list[tuple[int, int, int, int, int]] | None,
         origin_length: int = 0,
     ) -> None:
-        """The pure-Python bucket-queue propagation kernel.
+        """The pure-Python level-synchronous propagation kernel.
 
         Mutates *state* in place. When *journal* is given, every install
         appends the overwritten ``(node, cls, length, parent, origin_of)``
-        cells (pre-install values) so the pass can be reverted; a plain
-        :meth:`converge` passes ``None`` and pays only one ``is not None``
-        test per install.
+        cells (pre-install values) so the pass can be reverted.
+
+        Every candidate of length L+1 is an export of a node installed at
+        length L. Per level, ``up`` lists the customer-route installs (which
+        export to providers and peers) and ``everyone`` all installs (which
+        export to customers), both in install order; sweeping providers of
+        ``up``, peers of ``up``, then customers of ``everyone`` visits the
+        next level's candidates in simulator arrival order.
         """
-        view = self.view
         cls = state.cls
         length = state.length
         parent = state.parent
         origin_of = state.origin_of
-        is_tier1 = view.is_tier1
-        tier1_shortest = self.policy.tier1_shortest_path
+        providers = self.view.providers
+        peers = self.view.peers
+        customers = self.view.customers
+        length_only = self._length_only
 
-        # The origin installs its own route unconditionally.
+        # The origin installs its own route unconditionally. Its own
+        # entry then beats every candidate, so it needs no special case.
         if journal is not None:
             journal.append(
                 (origin, cls[origin], length[origin], parent[origin], origin_of[origin])
@@ -539,62 +552,36 @@ class RoutingEngine:
         parent[origin] = -1
         origin_of[origin] = origin
 
-        # Bucket queue keyed by (length, class): candidates are considered
-        # exactly in simulator arrival order. Each entry: (node, sender).
-        buckets: list[list[list[tuple[int, int]]] | None] = []
-
-        def push(node: int, route_class: int, route_length: int, sender: int) -> None:
-            while len(buckets) <= route_length:
-                buckets.append(None)
-            bucket = buckets[route_length]
-            if bucket is None:
-                bucket = [[], [], [], []]
-                buckets[route_length] = bucket
-            bucket[route_class].append((node, sender))
-
-        def push_exports(node: int, route_class: int, route_length: int) -> None:
-            exported_up = route_class in (_CLASS_ORIGIN, _CLASS_CUSTOMER)
-            next_length = route_length + 1
-            if exported_up:
-                for provider in view.providers[node]:
-                    push(provider, _CLASS_CUSTOMER, next_length, node)
-                for peer in view.peers[node]:
-                    push(peer, _CLASS_PEER, next_length, node)
-            for customer in view.customers[node]:
-                push(customer, _CLASS_PROVIDER, next_length, node)
-
-        # Initial exports from the origin, one hop past the claimed path.
-        first_hop_length = origin_length + 1
-        origin_is_stub = not view.customers[origin]
-        if not (filter_first_hop_providers and origin_is_stub):
-            for provider in view.providers[origin]:
-                push(provider, _CLASS_CUSTOMER, first_hop_length, origin)
-        for peer in view.peers[origin]:
-            push(peer, _CLASS_PEER, first_hop_length, origin)
-        for customer in view.customers[origin]:
-            push(customer, _CLASS_PROVIDER, first_hop_length, origin)
-
-        installs = 0
-        replaced = 0
-        route_length = 0
-        while route_length < len(buckets):
-            bucket = buckets[route_length]
-            if bucket is not None:
-                for route_class in (_CLASS_CUSTOMER, _CLASS_PEER, _CLASS_PROVIDER):
-                    for node, sender in bucket[route_class]:
-                        if node == origin or node in blocked_set:
-                            continue
+        up = everyone = [origin]
+        # The first-hop stub filter drops only the origin's provider exports.
+        to_providers = [] if filter_first_hop_providers and not customers[origin] else up
+        route_length = origin_length
+        installs = replaced = messages = rounds = 0
+        while everyone:
+            route_length += 1
+            next_up: list[int] = []
+            rest: list[int] = []
+            sent = 0
+            for route_class, senders, neighbors, installed in (
+                (_CLASS_CUSTOMER, to_providers, providers, next_up),
+                (_CLASS_PEER, up, peers, rest),
+                (_CLASS_PROVIDER, everyone, customers, rest),
+            ):
+                if self.metrics.enabled:
+                    # One message per sender-neighbor link, off the hot loop.
+                    sent += sum(len(neighbors[sender]) for sender in senders)
+                for sender in senders:
+                    for node in neighbors[sender]:
                         current_class = cls[node]
-                        if current_class != _NO_CLASS and not prefers(
-                            is_tier1[node],
-                            route_class,  # type: ignore[arg-type]
-                            route_length,
-                            current_class,  # type: ignore[arg-type]
-                            length[node],
-                            tier1_shortest_path=tier1_shortest,
+                        if length_only[node]:
+                            if length[node] <= route_length:
+                                continue
+                        elif current_class < route_class or (
+                            current_class == route_class and length[node] <= route_length
                         ):
                             continue
-                        installs += 1
+                        if node in blocked_set:
+                            continue
                         if current_class != _NO_CLASS:
                             replaced += 1
                         if journal is not None:
@@ -606,18 +593,14 @@ class RoutingEngine:
                         length[node] = route_length
                         parent[node] = sender
                         origin_of[node] = origin
-                        push_exports(node, route_class, route_length)
-            route_length += 1
-        if self.metrics.enabled:
-            # Every bucket entry is one announcement crossing one link;
-            # summing after the fact keeps the hot loop free of counting.
-            messages = sum(
-                len(per_class)
-                for bucket in buckets
-                if bucket is not None
-                for per_class in bucket
-            )
-            self._emit_convergence_metrics(messages, installs, replaced, len(buckets))
+                        installed.append(node)
+            if sent:
+                messages += sent
+                rounds = route_length + 1
+            installs += len(next_up) + len(rest)
+            up = to_providers = next_up
+            everyone = next_up + rest
+        self._emit_convergence_metrics(messages, installs, replaced, rounds)
 
     def _emit_convergence_metrics(
         self, messages: int, installs: int, replaced: int, rounds: int

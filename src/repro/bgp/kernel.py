@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 # The selectable convergence backends. "reference" is the pure-Python
-# bucket-queue kernel in repro.bgp.engine; "array" is this module.
+# level-sweep kernel in repro.bgp.engine; "array" is this module.
 BACKENDS = ("reference", "array")
 
 _CLASS_ORIGIN = 0  # RouteClass.ORIGIN

@@ -63,6 +63,8 @@ class AddressPlan:
     _by_asn: dict[int, list[Prefix]] = field(default_factory=dict)
     _origins: PrefixTrie[int] = field(default_factory=PrefixTrie)
     _total_size: int = 0
+    # Per-ASN address count, kept in step with _by_asn by assign/transfer.
+    _space: dict[int, int] = field(default_factory=dict)
 
     # -- construction ------------------------------------------------------
 
@@ -121,6 +123,7 @@ class AddressPlan:
         self._by_asn.setdefault(asn, []).append(prefix)
         self._origins.insert(prefix, asn)
         self._total_size += prefix.size()
+        self._space[asn] = self._space.get(asn, 0) + prefix.size()
 
     def transfer(self, prefix: Prefix, new_asn: int) -> int:
         """Reassign an allocated *prefix* to *new_asn*; returns the old owner.
@@ -134,9 +137,12 @@ class AddressPlan:
             raise KeyError(f"{prefix} is not an allocated block")
         old_asn = self._origins[prefix]
         bucket.remove(prefix)
+        self._space[old_asn] -= prefix.size()
         if not bucket:
             del self._by_asn[old_asn]
+            del self._space[old_asn]
         self._by_asn.setdefault(new_asn, []).append(prefix)
+        self._space[new_asn] = self._space.get(new_asn, 0) + prefix.size()
         self._origins.insert(prefix, new_asn)
         return old_asn
 
@@ -159,7 +165,7 @@ class AddressPlan:
         return None if match is None else match[1]
 
     def address_space_of(self, asn: int) -> int:
-        return sum(p.size() for p in self._by_asn.get(asn, ()))
+        return self._space.get(asn, 0)
 
     def total_allocated(self) -> int:
         """Total number of allocated addresses across all ASes."""
@@ -175,7 +181,7 @@ class AddressPlan:
         """
         if self._total_size == 0:
             return 0.0
-        owned = sum(self.address_space_of(asn) for asn in set(asns))
+        owned = sum(self._space.get(asn, 0) for asn in set(asns))
         return owned / self._total_size
 
     def all_asns(self) -> Sequence[int]:

@@ -35,7 +35,9 @@ How the ledger stays identical without recomputing
 * **withdraw of an interior announcement** — rewind journals down to it,
   drop it, re-apply the survivors in order (with their captured
   parameters). Cost: the suffix after the withdrawn entry, not the
-  whole chain.
+  whole chain. Withdrawing the *oldest* one drops the buffer instead and
+  re-applies on a fresh one, so the first pass's journal (a cell per
+  node reached) is never kept and a drained prefix holds no O(N) state.
 
 Why not repair outward from the withdrawn region instead? In the
 announce-only model a node may keep a route its neighbor has since
@@ -164,10 +166,10 @@ def _validate_chain(
 
 @dataclass
 class _LedgerSlot:
-    """One applied announcement: entry + its delta (+ validate checksum)."""
+    """One applied announcement: entry, undo delta (None for the first), checksum."""
 
     entry: AnnounceEntry
-    delta: ConvergenceDelta
+    delta: ConvergenceDelta | None
     checksum: str | None = field(default=None, repr=False)
 
 
@@ -208,7 +210,7 @@ class PrefixLedger:
         The returned object is the ledger's live working buffer — read
         it, don't write it, and don't hold it across further events.
         """
-        return self._state if self._slots else None
+        return self._state
 
     def is_active(self, origin: int) -> bool:
         return any(slot.entry.origin == origin for slot in self._slots)
@@ -227,7 +229,7 @@ class PrefixLedger:
         }
 
     def checksum(self) -> str | None:
-        return self._state.checksum() if self._slots and self._state else None
+        return self._state.checksum() if self._state is not None else None
 
     # -- events ------------------------------------------------------------
 
@@ -250,8 +252,6 @@ class PrefixLedger:
             first_hop_filtered=first_hop_filtered,
             path=tuple(path) if path else None,
         )
-        if self._state is None:
-            self._state = RouteState.empty(len(self.engine.view), origin)
         self._apply(entry)
         return True
 
@@ -260,7 +260,8 @@ class PrefixLedger:
 
         Newest-first withdrawals are pure journal rewinds; an interior
         withdrawal rewinds the suffix and re-applies the survivors with
-        their captured parameters.
+        their captured parameters. Withdrawing the oldest announcement
+        drops the O(N) working state; any survivors re-apply on a fresh one.
         """
         position = next(
             (index for index, slot in enumerate(self._slots)
@@ -270,38 +271,45 @@ class PrefixLedger:
         if position is None:
             return False
         assert self._state is not None
-        survivors = [slot.entry for slot in self._slots[position + 1:]]
-        for slot in reversed(self._slots[position:]):
-            slot.delta.revert(self._state)
-            self.metrics.count("stream.ledger.reverts")
-            self.metrics.count("stream.ledger.cells_reverted", slot.delta.touched)
+        rewound = self._slots[position:]
         del self._slots[position:]
-        if self._slots and self._slots[-1].checksum is not None:
-            if self._state.checksum() != self._slots[-1].checksum:
+        self.metrics.count("stream.ledger.reverts", len(rewound))
+        if not self._slots:
+            self._state = None
+        else:
+            for slot in reversed(rewound):
+                assert slot.delta is not None  # only the first slot drops it
+                slot.delta.revert(self._state)
+                self.metrics.count("stream.ledger.cells_reverted", slot.delta.touched)
+            expected = self._slots[-1].checksum
+            if expected is not None and self._state.checksum() != expected:
                 raise RuntimeError(
                     f"ledger rewind for origin {origin} did not restore the "
                     "prior state (journal corruption)"
                 )
-        for entry in survivors:
-            self._apply(entry, replayed=True)
+        for slot in rewound[1:]:
+            self._apply(slot.entry, replayed=True)
         return True
 
     # -- internals ---------------------------------------------------------
 
     def _apply(self, entry: AnnounceEntry, *, replayed: bool = False) -> None:
-        assert self._state is not None
+        first = not self._slots
+        state = RouteState.empty(len(self.engine.view), entry.origin) if first else self._state
+        assert state is not None
         delta = self.engine.converge_delta(
-            self._state,
+            state,
             entry.origin,
             blocked=entry.blocked,
             filter_first_hop_providers=entry.first_hop_filtered,
             origin_length=entry.origin_length,
         )
-        slot = _LedgerSlot(entry=entry, delta=delta)
+        self._state = state
+        slot = _LedgerSlot(entry=entry, delta=None if first else delta)
         self._slots.append(slot)
         if self.engine.validate:
-            _validate_chain(self.engine, self._state, self.entries)
-            slot.checksum = self._state.checksum()
+            _validate_chain(self.engine, state, self.entries)
+            slot.checksum = state.checksum()
         self.metrics.count("stream.ledger.convergences")
         if replayed:
             self.metrics.count("stream.ledger.replays")

@@ -97,3 +97,31 @@ class TestAssign:
         plan.assign(1, Prefix.parse("11.0.0.0/16"))
         assert plan.address_space_of(1) == (1 << 24) + (1 << 16)
         assert len(plan) == 2
+
+
+class TestSpaceTotals:
+    """The per-ASN totals ``assign``/``transfer`` maintain match a re-sum."""
+
+    @staticmethod
+    def resummed(plan, asn):
+        return sum(prefix.size() for prefix in plan.prefixes_of(asn))
+
+    def test_totals_follow_transfers(self, plan):
+        for prefix, new_owner in (
+            (plan.primary_prefix(5), 7),      # into an existing owner
+            (plan.primary_prefix(7), 1000),   # to a brand-new ASN
+            (plan.primary_prefix(12), 13),
+        ):
+            plan.transfer(prefix, new_owner)
+        for prefix in plan.prefixes_of(13):   # empty AS13 entirely
+            plan.transfer(prefix, 14)
+        asns = set(plan.all_asns()) | {5, 7, 13, 1000, 999}
+        for asn in asns:
+            assert plan.address_space_of(asn) == self.resummed(plan, asn), asn
+        assert 13 not in plan and plan.address_space_of(13) == 0
+        assert sum(plan.address_space_of(asn) for asn in plan.all_asns()) == (
+            plan.total_allocated()
+        )
+        for group in ([1, 2, 3], [7, 7, 1000], [13, 999], list(asns)):
+            old = sum(self.resummed(plan, asn) for asn in set(group))
+            assert plan.fraction_owned(group) == old / plan.total_allocated()

@@ -146,3 +146,104 @@ class TestPolicyVariants:
         node_1 = chain_view.node_of(1)
         assert state.route_class(node_1) is RouteClass.CUSTOMER
         assert state.length[node_1] == 4  # via 10 -> 11 -> 12 -> 13
+
+
+class TestReferenceKernelPin:
+    """Pins the reference kernel's exact output on a generated topology.
+
+    The figures below were recorded with the bucket-queue kernel; any
+    rewrite must reproduce them bit for bit: the five ``engine.*``
+    counters and one digest over every converged state checksum and every
+    undo journal of a fixed chain that exercises blocked sets, the
+    first-hop stub filter, padded origins and both tier-1 policies.
+    """
+
+    EXPECTED = {
+        True: (
+            {
+                "engine.convergences": 48,
+                "engine.messages": 8640,
+                "engine.routes_installed": 4240,
+                "engine.routes_replaced": 2452,
+                "engine.convergence_rounds": 236,
+            },
+            "70b56fe5d1de2f46eff94a9561806c99",
+        ),
+        False: (
+            {
+                "engine.convergences": 48,
+                "engine.messages": 8632,
+                "engine.routes_installed": 4227,
+                "engine.routes_replaced": 2439,
+                "engine.convergence_rounds": 235,
+            },
+            "b08c922825c983cf3b0e28656e94adf4",
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def view(self):
+        from repro.topology.generator import GeneratorConfig, generate_topology
+        from repro.topology.view import RoutingView
+
+        return RoutingView.from_graph(generate_topology(GeneratorConfig.scaled(300, seed=3)))
+
+    @staticmethod
+    def run_chain(view, tier1_shortest_path):
+        import hashlib
+        import random
+
+        from repro.obs.metrics import Metrics
+
+        metrics = Metrics()
+        engine = RoutingEngine(
+            view, PolicyConfig(tier1_shortest_path=tier1_shortest_path), metrics=metrics
+        )
+        rng = random.Random(3)
+        nodes = list(range(len(view)))
+        stubs = [node for node in nodes if not view.customers[node]]
+        digest = hashlib.blake2b(digest_size=16)
+        for _ in range(6):
+            target, attacker = rng.sample(nodes, 2)
+            legit = engine.converge(target)
+            digest.update(legit.checksum().encode())
+            for blocked, first_hop, padding in (
+                ((), False, 0),
+                (rng.sample(nodes, 20), False, 1),
+                (rng.sample(nodes, 5), True, 2),
+            ):
+                final = engine.converge(
+                    rng.choice(stubs) if first_hop else attacker,
+                    base=legit,
+                    blocked=blocked,
+                    filter_first_hop_providers=first_hop,
+                    origin_length=padding,
+                )
+                digest.update(final.checksum().encode())
+            state = legit.copy_for(target)
+            deltas = []
+            for step in range(4):
+                deltas.append(
+                    engine.converge_delta(
+                        state,
+                        rng.choice(stubs) if step % 2 else rng.choice(nodes),
+                        blocked=rng.sample(nodes, 3 * step),
+                        filter_first_hop_providers=step % 2 == 1,
+                        origin_length=step % 3,
+                    )
+                )
+                digest.update(repr(deltas[-1].journal).encode())
+                digest.update(state.checksum().encode())
+            for delta in reversed(deltas):
+                delta.revert(state)
+            assert state.checksum() == legit.checksum()
+        counters = {
+            name: value
+            for name, value in metrics.counters.items()
+            if name.startswith("engine.")
+        }
+        return counters, digest.hexdigest()
+
+    @pytest.mark.parametrize("tier1_shortest_path", [True, False])
+    def test_counters_and_journals_are_pinned(self, view, tier1_shortest_path):
+        assert self.run_chain(view, tier1_shortest_path) == self.EXPECTED[tier1_shortest_path]

@@ -100,6 +100,33 @@ class TestWithdrawRewind:
         assert ledger.withdraw(node(mini_view, 50))
         assert ledger.state is None and ledger.checksum() is None
 
+    def test_withdraw_to_empty_frees_the_buffer(self, engine, mini_view):
+        ledger = PrefixLedger(engine)
+        assert ledger.announce(node(mini_view, 50), blocked={node(mini_view, 40)})
+        assert ledger.announce(node(mini_view, 60))
+        assert ledger.withdraw(node(mini_view, 60))
+        assert ledger._state is not None  # one announcement still live
+        assert ledger.withdraw(node(mini_view, 50))
+        assert ledger._state is None
+
+    def test_reannounce_after_free_equals_cold_converge(self, engine, mini_view):
+        ledger = PrefixLedger(engine)
+        assert ledger.announce(node(mini_view, 50))
+        assert ledger.withdraw(node(mini_view, 50))
+        assert ledger.announce(node(mini_view, 60), origin_asn=60)
+        assert ledger.checksum() == full_converge(
+            engine, (AnnounceEntry(node(mini_view, 60), 60),)
+        ).checksum()
+
+    def test_oldest_withdraw_reapplies_the_survivor(self, engine, mini_view):
+        ledger = PrefixLedger(engine)
+        assert ledger.announce(node(mini_view, 50))
+        assert ledger.announce(node(mini_view, 60), origin_asn=60)
+        assert ledger.withdraw(node(mini_view, 50))
+        assert ledger._state is not None
+        assert ledger.active_origins() == (node(mini_view, 60),)
+        assert ledger.checksum() == engine.converge(node(mini_view, 60)).checksum()
+
 
 class TestValidateMode:
     def test_validated_ledger_records_checksums(self, mini_view):

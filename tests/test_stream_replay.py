@@ -160,6 +160,16 @@ class TestErrorIsolation:
         ])
         assert report.events_noop == 1 and not report.errors
 
+    def test_fully_withdrawn_prefix_reports_no_route_and_frees_state(self, lab):
+        prefix = lab.target_prefix(50)
+        replayer = StreamReplayer(lab)
+        report = replayer.run([
+            Announce(at=0.0, prefix=prefix, origin_asn=50),
+            Withdraw(at=1.0, prefix=prefix, origin_asn=50),
+        ])
+        assert report.prefixes[str(prefix)] == {"active_origins": [], "checksum": None}
+        assert replayer.ledger(prefix)._state is None
+
 
 class TestLiveDefense:
     def test_roa_and_deployers_block_later_announcements(self, lab):
