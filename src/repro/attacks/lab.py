@@ -180,6 +180,13 @@ class HijackLab:
         This is the unit of work the parallel executor distributes; it
         reads only immutable lab state plus the (shared, frozen)
         convergence cache, so concurrent execution is safe.
+
+        Exact-prefix attacks (origin hijacks and route leaks) run through
+        :meth:`RoutingEngine.hijack
+        <repro.bgp.engine.RoutingEngine.hijack>` on the target's cached
+        legitimate state, whose polluted set comes from the attack pass's
+        installs — no scan of all N nodes. Sub-prefix and squat attacks
+        converge on a clean state and read the holders off it.
         """
         view = self.view
         target_node = view.node_of(scenario.target_asn)
@@ -206,22 +213,28 @@ class HijackLab:
         first_hop = self._first_hop_filtered(scenario.attacker_asn)
         if scenario.kind in (HijackKind.ORIGIN, HijackKind.ROUTE_LEAK):
             # The bogus announcement competes with the legitimate route
-            # for the same NLRI.
-            base = self._legitimate_state(target_node)
+            # for the same NLRI; the engine reports the polluted nodes
+            # from the attack pass's own installs.
+            polluted_nodes = self.engine.hijack(
+                target_node,
+                attacker_node,
+                legitimate=self._legitimate_state(target_node),
+                blocked=blocked,
+                filter_first_hop_providers=first_hop,
+                origin_length=len(claimed) - 1,
+            ).polluted_nodes
         else:
             # A sub-prefix or squatted block is a brand-new NLRI: no
             # legitimate competitor exists, so the bogus announcement
             # converges on a clean state and wins everywhere it reaches.
             # Only blocking can contain it.
-            base = None
-        state = self.engine.converge(
-            attacker_node,
-            base=base,
-            blocked=blocked,
-            filter_first_hop_providers=first_hop,
-            origin_length=len(claimed) - 1,
-        )
-        polluted_nodes = state.holders_of(attacker_node)
+            state = self.engine.converge(
+                attacker_node,
+                blocked=blocked,
+                filter_first_hop_providers=first_hop,
+                origin_length=len(claimed) - 1,
+            )
+            polluted_nodes = state.holders_of(attacker_node)
         polluted_asns = view.expand(polluted_nodes) - {scenario.attacker_asn}
         return AttackOutcome(
             scenario=scenario,

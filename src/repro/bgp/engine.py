@@ -26,7 +26,11 @@ enforced by randomized property tests in
 Hijacks reuse the same procedure: converge the legitimate origin from a
 clean state, then run the attacker's announcement *on top of* that state —
 the bogus route only displaces entries it strictly beats, ties keeping the
-incumbent, exactly the paper's announce-only RIB model.
+incumbent, exactly the paper's announce-only RIB model. The legitimate
+state holds no route to the attacker, so the polluted set is exactly the
+set of nodes the attack pass installs: :meth:`RoutingEngine.hijack` takes
+it from the kernel's per-level install lists instead of scanning all N
+cells (``docs/performance.md``, "Outcome extraction").
 """
 
 from __future__ import annotations
@@ -49,6 +53,19 @@ _CLASS_ORIGIN = int(RouteClass.ORIGIN)
 _CLASS_CUSTOMER = int(RouteClass.CUSTOMER)
 _CLASS_PEER = int(RouteClass.PEER)
 _CLASS_PROVIDER = int(RouteClass.PROVIDER)
+
+
+class _DigitMemo(dict):
+    """``str(value)`` per distinct integer, rendered once per process."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
+
+
+# Checksum cells take few distinct values (node indices, path lengths,
+# route classes), so a dict lookup replaces most str() calls.
+_DIGITS = _DigitMemo()
 
 
 @dataclass
@@ -115,7 +132,7 @@ class RouteState:
         digest.update(str(self.origin).encode())
         for array in (self.cls, self.length, self.parent, self.origin_of):
             digest.update(b"|")
-            digest.update(",".join(map(str, array)).encode())
+            digest.update(",".join(map(_DIGITS.__getitem__, array)).encode())
         return digest.hexdigest()
 
     # -- queries -------------------------------------------------------------
@@ -518,12 +535,16 @@ class RoutingEngine:
         filter_first_hop_providers: bool,
         journal: list[tuple[int, int, int, int, int]] | None,
         origin_length: int = 0,
+        install_log: list[int] | None = None,
     ) -> None:
         """The pure-Python level-synchronous propagation kernel.
 
         Mutates *state* in place. When *journal* is given, every install
         appends the overwritten ``(node, cls, length, parent, origin_of)``
-        cells (pre-install values) so the pass can be reverted.
+        cells (pre-install values) so the pass can be reverted. When
+        *install_log* is given, every level's installs are appended to it
+        (the origin's own entry excluded; a node that upgrades its route
+        within the pass appears once per install).
 
         Every candidate of length L+1 is an export of a node installed at
         length L. Per level, ``up`` lists the customer-route installs (which
@@ -600,6 +621,8 @@ class RoutingEngine:
             installs += len(next_up) + len(rest)
             up = to_providers = next_up
             everyone = next_up + rest
+            if install_log is not None:
+                install_log += everyone
         self._emit_convergence_metrics(messages, installs, replaced, rounds)
 
     def _emit_convergence_metrics(
@@ -621,12 +644,27 @@ class RoutingEngine:
         legitimate: RouteState | None = None,
         blocked: Collection[int] = (),
         filter_first_hop_providers: bool = False,
+        origin_length: int = 0,
     ) -> "HijackResult":
-        """Run a full origin-hijack: legitimate convergence, then attack.
+        """Run an exact-prefix hijack: legitimate convergence, then attack.
 
         Pass a precomputed ``legitimate`` state (from :meth:`converge` on
         the target) when sweeping many attackers against one target — it is
-        attacker-independent and dominates the cost otherwise.
+        attacker-independent and dominates the cost otherwise. The attack
+        pass is ``converge(attacker, base=legitimate, ...)`` with the same
+        ``blocked``, ``filter_first_hop_providers`` and ``origin_length``
+        knobs (a forged claimed path or a route leak pads the announcement).
+
+        ``legitimate`` must hold no route originated by *attacker*, which a
+        convergence of *target* on a clean state never does. Every holder
+        of the bogus route then installed it during the attack pass, so
+        :attr:`HijackResult.polluted_nodes` is collected from the
+        reference kernel's per-level install lists in O(polluted) rather
+        than by a scan of all N cells (the array backend takes the final
+        column's nonzero cells). With ``validate=True`` the final state
+        runs the invariant suite and the install-derived set is compared
+        against :meth:`RouteState.holders_of`; a mismatch raises
+        :class:`~repro.oracle.invariants.InvariantViolation`.
         """
         if target == attacker:
             raise ValueError("attacker and target must differ")
@@ -636,17 +674,51 @@ class RoutingEngine:
             raise ValueError(
                 f"legitimate state is for origin {legitimate.origin}, not {target}"
             )
-        final = self.converge(
-            attacker,
-            base=legitimate,
-            blocked=blocked,
-            filter_first_hop_providers=filter_first_hop_providers,
-        )
+        blocked_set = frozenset(blocked)
+        if self._propagate_array_batch is not None:
+            import numpy as np
+
+            final = self.converge_batch(
+                (attacker,),
+                base=legitimate,
+                blocked_sets=(blocked_set,),
+                first_hop_flags=(filter_first_hop_providers,),
+                origin_lengths=(origin_length,),
+            )[0]
+            holders = np.flatnonzero(np.asarray(final.origin_of) == attacker)
+            polluted = frozenset(holders.tolist()) - {attacker}
+        else:
+            # Not through converge(): the kernel must hand back its installs.
+            final = legitimate.copy_for(attacker)
+            install_log: list[int] = []
+            self._propagate_reference(
+                final,
+                attacker,
+                blocked_set,
+                filter_first_hop_providers,
+                None,
+                origin_length,
+                install_log=install_log,
+            )
+            polluted = frozenset(install_log)
+            if self.validate:
+                self._check(final, blocked_set, filter_first_hop_providers, origin_length)
+        if self.validate:
+            holders_scan = final.holders_of(attacker)
+            if polluted != holders_scan:
+                from repro.oracle.invariants import InvariantViolation
+
+                raise InvariantViolation(
+                    "[pollution] install-derived polluted set differs from the "
+                    f"final state's holders: missing {sorted(holders_scan - polluted)}, "
+                    f"extra {sorted(polluted - holders_scan)}"
+                )
         return HijackResult(
             target=target,
             attacker=attacker,
             legitimate=legitimate,
             final=final,
+            polluted_nodes=polluted,
         )
 
 
@@ -695,17 +767,19 @@ class ConvergenceDelta:
 
 @dataclass
 class HijackResult:
-    """Outcome of one origin-hijack computation."""
+    """Outcome of one exact-prefix hijack computation.
+
+    ``polluted_nodes`` are the routing nodes holding the bogus route in
+    ``final``, the attacker excluded — equal to
+    ``final.holders_of(attacker)``, but recorded by
+    :meth:`RoutingEngine.hijack` from the attack pass's own installs.
+    """
 
     target: int
     attacker: int
     legitimate: RouteState
     final: RouteState
-
-    @property
-    def polluted_nodes(self) -> frozenset[int]:
-        """Routing nodes holding the bogus route (the attacker excluded)."""
-        return self.final.holders_of(self.attacker)
+    polluted_nodes: frozenset[int]
 
     def polluted_asns(self, view: RoutingView) -> frozenset[int]:
         """Polluted original ASNs (sibling groups expanded)."""

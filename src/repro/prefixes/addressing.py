@@ -19,6 +19,7 @@ Allocation is deterministic for a given input ordering and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from repro.prefixes.prefix import Prefix
@@ -181,7 +182,8 @@ class AddressPlan:
         """
         if self._total_size == 0:
             return 0.0
-        owned = sum(self._space.get(asn, 0) for asn in set(asns))
+        unique = asns if isinstance(asns, (set, frozenset)) else set(asns)
+        owned = sum(map(self._space.get, unique, repeat(0)))
         return owned / self._total_size
 
     def all_asns(self) -> Sequence[int]:

@@ -15,6 +15,7 @@ A view is immutable; rebuild it after editing the :class:`ASGraph`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from repro.topology.asgraph import ASGraph
@@ -156,10 +157,7 @@ class RoutingView:
 
     def expand(self, nodes: Iterable[int]) -> frozenset[int]:
         """Original ASNs represented by the given routing nodes."""
-        result: set[int] = set()
-        for node in nodes:
-            result.update(self.members[node])
-        return frozenset(result)
+        return frozenset(chain.from_iterable(map(self.members.__getitem__, nodes)))
 
     def nodes_of(self, asns: Iterable[int]) -> frozenset[int]:
         return frozenset(self._node_of[asn] for asn in asns)

@@ -77,6 +77,15 @@ class TestQueries:
         twice = plan.fraction_owned([10, 10])
         assert once == twice
 
+    def test_fraction_owned_dedupes_generators_and_sets(self, plan):
+        expected = (plan.address_space_of(10) + plan.address_space_of(11)) / (
+            plan.total_allocated()
+        )
+        assert plan.fraction_owned(asn for asn in (10, 11, 10, 11)) == expected
+        assert plan.fraction_owned([11, 10, 11]) == expected
+        assert plan.fraction_owned({10, 11}) == expected
+        assert plan.fraction_owned(frozenset({10, 11, 999})) == expected
+
     def test_contains(self, plan):
         assert 10 in plan
         assert 999 not in plan

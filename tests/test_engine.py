@@ -110,6 +110,72 @@ class TestHijack:
         assert flags[mini_view.node_of(10)] is False
 
 
+class TestHijackTripwire:
+    """``validate=True`` cross-checks the install-derived polluted set."""
+
+    def test_dropped_install_raises(self, mini_view, monkeypatch):
+        from repro.oracle import InvariantViolation
+
+        engine = RoutingEngine(mini_view, validate=True)
+        original = engine._propagate_reference
+
+        def drop_one_install(*args, install_log=None):
+            original(*args, install_log=install_log)
+            if install_log:
+                install_log.pop()
+
+        monkeypatch.setattr(engine, "_propagate_reference", drop_one_install)
+        legit = RoutingEngine(mini_view).converge(mini_view.node_of(50))
+        with pytest.raises(InvariantViolation, match="pollution"):
+            engine.hijack(mini_view.node_of(50), mini_view.node_of(60), legitimate=legit)
+
+    @pytest.mark.parametrize("backend", ["reference", "array"])
+    def test_exact_kernels_pass(self, mini_view, backend):
+        engine = RoutingEngine(mini_view, validate=True, backend=backend)
+        result = engine.hijack(
+            mini_view.node_of(50), mini_view.node_of(60), origin_length=1
+        )
+        assert result.polluted_nodes == result.final.holders_of(result.attacker)
+
+
+def _old_checksum(state: RouteState) -> str:
+    """The checksum formula before digit rendering was memoized."""
+    import hashlib
+
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(str(state.origin).encode())
+    for array in (state.cls, state.length, state.parent, state.origin_of):
+        digest.update(b"|")
+        digest.update(",".join(map(str, array)).encode())
+    return digest.hexdigest()
+
+
+class TestChecksum:
+    def test_matches_old_formula_on_list_and_frozen_states(self, engine, mini_view):
+        empty = RouteState.empty(len(mini_view), 0)  # -1 parents, UNREACHABLE
+        assert UNREACHABLE in empty.length and -1 in empty.parent
+        legit = engine.converge(mini_view.node_of(50))
+        hijacked = engine.hijack(
+            mini_view.node_of(50), mini_view.node_of(60), legitimate=legit
+        ).final
+        for state in (empty, legit, hijacked):
+            assert state.checksum() == _old_checksum(state)
+            frozen = state.copy_for(state.origin).freeze()
+            assert frozen.checksum() == _old_checksum(frozen) == state.checksum()
+
+    def test_matches_old_formula_on_sibling_collapsed_view(self):
+        from repro.topology.view import RoutingView
+        from tests.test_view import sibling_graph
+
+        view = RoutingView.from_graph(sibling_graph())
+        assert len(view) == 4
+        engine = RoutingEngine(view)
+        result = engine.hijack(view.node_of(50), view.node_of(1), blocked=[view.node_of(10)])
+        for state in (result.legitimate, result.final):
+            assert state.checksum() == _old_checksum(state)
+        assert result.final.checksum() != result.legitimate.checksum()
+
+
 class TestPolicyVariants:
     @pytest.fixture
     def chain_view(self):

@@ -66,6 +66,14 @@ class TestSiblingCollapse:
         view = RoutingView.from_graph(sibling_graph())
         assert view.expand([view.node_of(30)]) == frozenset({30, 31})
 
+    def test_expand_mixes_groups_and_singletons_and_dedupes(self):
+        view = RoutingView.from_graph(sibling_graph())
+        group, single = view.node_of(31), view.node_of(50)
+        nodes = (node for node in (group, single, group))
+        assert view.expand(nodes) == frozenset({30, 31, 50})
+        assert view.expand(frozenset({group})) == frozenset({30, 31})
+        assert view.expand([]) == frozenset()
+
     def test_member_count(self):
         view = RoutingView.from_graph(sibling_graph())
         assert view.member_count(view.node_of(31)) == 2
